@@ -31,6 +31,7 @@ from .environment import (
 )
 from .errors import (
     ConfigError,
+    CorruptFileError,
     EpisodeDoneError,
     FrozenBudgetError,
     InvalidParameterError,

@@ -146,10 +146,6 @@ class SubagentProfile:
         if not 0.0 < self.competence <= 1.0:
             raise InvalidParameterError("competence must be in (0, 1]")
 
-    def to_create_call(self) -> dict:
-        """The create_subagent wire payload for this profile."""
-        return {"name": self.name, "system_prompt": self.system_prompt}
-
 
 @dataclass(frozen=True)
 class AgentTemplate:
@@ -191,13 +187,6 @@ class SubtaskAssignment:
     agent_name: str
     unit_ids: tuple[str, ...]
     seed: int
-
-    def to_assign_call(self) -> dict:
-        """The assign_task wire payload for this assignment."""
-        return {
-            "agent": self.agent_name,
-            "prompt": "Resolve the following units: " + ", ".join(self.unit_ids),
-        }
 
 
 @dataclass(frozen=True)
@@ -276,7 +265,15 @@ class Observation:
 
 
 class SwarmEnv:
-    """State of one episode. Owned by exactly one rollout at a time."""
+    """State of one episode. Owned by exactly one rollout at a time.
+
+    Invariant: every unresolved unit is in exactly one of ``_fresh`` (no
+    progress yet, kept in unit order) or ``_started`` (progress > 0), and no
+    resolved unit is in either. Units only ever leave ``_fresh``. The sites
+    that change a unit's progress or resolution keep it: ``_fetch`` (wide
+    progress and resolve, deep walk and leaf), ``_download`` and
+    ``_merge_payload``, through ``_mark_started`` and ``_mark_resolved``.
+    """
 
     def __init__(self, task: TaskSpec, seed: int, constants: ContextConstants | None = None):
         validate_task_spec(task)
@@ -314,30 +311,26 @@ class SwarmEnv:
             self._unit_order = sorted(gt.batch.files)
             self._download_progress = {f: 0 for f in self._unit_order}
             self._acquired: set[str] = set()
+        self._position = {unit: i for i, unit in enumerate(self._unit_order)}
+        self._fresh: dict[str, None] = dict.fromkeys(self._unit_order)
+        self._started: dict[str, None] = {}
+
+    def _mark_started(self, unit_id: str) -> None:
+        # A resolved unit has already left ``_fresh``, so progress made after
+        # resolution (a deep walk past a merged branch) never re-adds it.
+        if unit_id in self._fresh:
+            del self._fresh[unit_id]
+            self._started[unit_id] = None
+
+    def _mark_resolved(self, unit_id: str) -> None:
+        self._fresh.pop(unit_id, None)
+        self._started.pop(unit_id, None)
 
     # -- views ------------------------------------------------------------------
 
-    def unit_progress(self, unit_id: str) -> int:
-        if self.task.kind is TaskKind.WIDE_SEARCH:
-            return self._fetch_progress.get(unit_id, 0)
-        if self.task.kind is TaskKind.DEEP_SEARCH:
-            return self._walked.get(unit_id, 0)
-        return self._download_progress.get(unit_id, 0)
-
-    def is_unit_resolved(self, unit_id: str) -> bool:
-        if self.task.kind is TaskKind.WIDE_SEARCH:
-            return unit_id in self._resolved
-        if self.task.kind is TaskKind.DEEP_SEARCH:
-            return unit_id in self._branch_values
-        return unit_id in self._acquired
-
     def pending_units(self) -> list[str]:
         """Unresolved unit ids, in-progress units first, then generation order."""
-        pending = [u for u in self._unit_order if not self.is_unit_resolved(u)]
-        return sorted(
-            pending,
-            key=lambda u: (0 if self.unit_progress(u) > 0 else 1, self._unit_order.index(u)),
-        )
+        return sorted(self._started, key=self._position.__getitem__) + list(self._fresh)
 
     def unit_cost_for_subagent(self, unit_id: str) -> int:
         """Intrinsic steps a fresh sub-agent needs for one unit.
@@ -372,7 +365,6 @@ class SwarmEnv:
         return len(self.stages)
 
     def observe(self) -> Observation:
-        pending = sum(1 for u in self._unit_order if not self.is_unit_resolved(u))
         return Observation(
             task_description=self.task.description,
             visible_history=tuple(self.history),
@@ -381,7 +373,7 @@ class SwarmEnv:
             ),
             orchestrator_context_tokens=self.context_tokens,
             remaining_tokens=self.task.limits.max_tokens - self.tokens_used(),
-            unresolved_units=pending,
+            unresolved_units=len(self._fresh) + len(self._started),
             total_units=len(self._unit_order),
             live_agents=len(self.profiles),
             last_assigned=self._last_assigned,
@@ -429,10 +421,12 @@ class SwarmEnv:
             if self._fetch_progress[key] >= required:
                 value = self.task.ground_truth.wide.items[key]
                 self._resolved[key] = value
+                self._mark_resolved(key)
                 return ToolResult(
                     "fetch", True, {"key": key, "value": value},
                     f"{key} = {value}", 2,
                 )
+            self._mark_started(key)
             return ToolResult(
                 "fetch", True,
                 {"key": key, "pending": f"{self._fetch_progress[key]}/{required}"},
@@ -449,10 +443,12 @@ class SwarmEnv:
             self._walked[root] += 1
             if position == len(branch.nodes) - 1:
                 self._branch_values[root] = branch.value
+                self._mark_resolved(root)
                 return ToolResult(
                     "fetch", True, {"key": key, "value": branch.value},
                     f"branch {root} leaf = {branch.value}", 2,
                 )
+            self._mark_started(root)
             nxt = branch.nodes[position + 1]
             return ToolResult(
                 "fetch", True, {"key": key, "next": nxt}, f"{key} -> {nxt}", 2,
@@ -474,10 +470,12 @@ class SwarmEnv:
         cost = self.task.ground_truth.batch.files[file_id]
         if self._download_progress[file_id] >= cost:
             self._acquired.add(file_id)
+            self._mark_resolved(file_id)
             return ToolResult(
                 "download", True, {"file_id": file_id, "acquired": True},
                 f"{file_id}: acquired", 2,
             )
+        self._mark_started(file_id)
         return ToolResult(
             "download", True,
             {"file_id": file_id, "acquired": False,
@@ -498,7 +496,7 @@ class SwarmEnv:
         could not attempt stay unresolved. Only a payload summary is returned.
         """
         for unit in assignment.unit_ids:
-            if unit not in self._unit_order:
+            if unit not in self._position:
                 raise InvalidSubtaskError(
                     f"unit {unit!r} does not exist in task {self.task.task_id}"
                 )
@@ -589,6 +587,8 @@ class SwarmEnv:
         return results
 
     def _merge_payload(self, payload: dict[str, str]) -> None:
+        for unit_id in payload:
+            self._mark_resolved(unit_id)
         if self.task.kind is TaskKind.WIDE_SEARCH:
             self._resolved.update(payload)
         elif self.task.kind is TaskKind.DEEP_SEARCH:
@@ -714,26 +714,6 @@ def reset(
     """Build a fresh episode for ``task``. Raises on structurally invalid specs."""
     env = SwarmEnv(task, seed, constants)
     return env, env.observe()
-
-
-def step(env: SwarmEnv, action: Action) -> tuple[Observation, bool]:
-    return env.step(action)
-
-
-def exec_tool(env: SwarmEnv, call: ToolCall) -> ToolResult:
-    return env.exec_tool(call)
-
-
-def run_subagent(
-    profile: SubagentProfile, assignment: SubtaskAssignment, env: SwarmEnv
-) -> SubtaskResult:
-    return env.run_subagent(profile, assignment)
-
-
-def run_parallel_group(
-    env: SwarmEnv, assignments: tuple[SubtaskAssignment, ...] | list[SubtaskAssignment]
-) -> list[SubtaskResult]:
-    return env.run_parallel_group(assignments)
 
 
 def derive_assignment_seed(episode_seed: int, stage_index: int, assignment_index: int) -> int:

@@ -39,3 +39,7 @@ class MissingSnapshotError(ParlabError, KeyError):
 
 class MissingTraceDataError(ParlabError, ValueError):
     """A trace record lacks the fields required for the requested operation."""
+
+
+class CorruptFileError(ParlabError, ValueError):
+    """A persisted trace or parameter file is not valid JSON (e.g. cut mid-record)."""

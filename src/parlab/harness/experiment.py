@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ..environment import SwarmEnv, reset
-from ..errors import InvalidParameterError, MissingSnapshotError
+from ..errors import CorruptFileError, InvalidParameterError, MissingSnapshotError
 from ..metrics import EPISODE_CSV_FIELDS, critical_steps
 from ..optimizer import collect_group, train_step
 from ..orchestrator import (
@@ -155,7 +155,11 @@ def load_params(path: str | Path) -> PolicyParams:
     path = Path(path)
     if not path.exists():
         raise MissingSnapshotError(f"no parameter snapshot at {path}")
-    return params_from_dict(json.loads(path.read_text()))
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise CorruptFileError(f"{path}, line {exc.lineno}: {exc.msg}") from exc
+    return params_from_dict(data)
 
 
 # --- budgets -----------------------------------------------------------------------

@@ -16,7 +16,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from ..errors import InvalidParameterError
 from ..orchestrator import (
@@ -72,17 +72,6 @@ def rollout_manager(
         return [run(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
         return list(pool.map(run, jobs))
-
-
-def map_unordered_args(
-    fn: Callable, argument_sets: Iterable[tuple], concurrency: int = 1
-) -> list:
-    """Small helper for non-rollout fan-out; still submission-ordered."""
-    argument_sets = list(argument_sets)
-    if concurrency == 1:
-        return [fn(*args) for args in argument_sets]
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        return list(pool.map(lambda args: fn(*args), argument_sets))
 
 
 @dataclass(frozen=True)

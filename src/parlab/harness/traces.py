@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import (
+    CorruptFileError,
     InvalidParameterError,
     MissingSnapshotError,
     MissingTraceDataError,
@@ -152,10 +153,13 @@ def write_traces(
 def read_trace_records(path: str | Path) -> list[dict]:
     records = []
     with Path(path).open() as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if line:
-                records.append(json.loads(line))
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise CorruptFileError(f"{path}, line {line_no}: {exc.msg}") from exc
     return records
 
 

@@ -247,7 +247,10 @@ def partition_units(
         # Greedy: heaviest unit first into the currently lightest bin.
         bins = [[] for _ in range(group_size)]
         loads = [0] * group_size
-        order = sorted(units, key=lambda u: (-costs.get(u, 1), units.index(u)))
+        first: dict[str, int] = {}
+        for i, unit in enumerate(units):
+            first.setdefault(unit, i)
+        order = sorted(units, key=lambda u: (-costs.get(u, 1), first[u]))
         for unit in order:
             target = loads.index(min(loads))
             bins[target].append(unit)

@@ -183,6 +183,7 @@ class TestTrainingImprovesOutcomeAndParallelism:
         slope = float(np.polyfit(np.arange(iterations), width_curve, 1)[0])
         return initial, final, slope
 
+    @pytest.mark.slow
     def test_most_seeds_learn_to_delegate(self):
         start = time.monotonic()
         passes = 0
@@ -234,6 +235,7 @@ class TestParallelBonusDrivesSpawning:
                 total += 1
         return zero / total
 
+    @pytest.mark.slow
     def test_removing_the_bonus_keeps_policies_serial(self):
         start = time.monotonic()
         diffs = []
@@ -284,6 +286,7 @@ class TestFinishBonusCurbsAbandonment:
                 completed += sum(s.completed for s in trace.stages)
         return assigned / completed if completed else float("inf")
 
+    @pytest.mark.slow
     def test_completion_bonus_reduces_abandonment(self):
         start = time.monotonic()
         without, with_bonus = [], []
@@ -428,6 +431,7 @@ class TestLengthBudgetToggle:
             arms[name] = (float(np.mean(lengths)), float(np.mean(scores)))
         return arms
 
+    @pytest.mark.slow
     def test_budget_enforcement_shortens_responses_without_hurting_outcomes(self):
         start = time.monotonic()
         drops, perf_deltas = [], []

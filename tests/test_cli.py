@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from parlab import RLConfig, TaskKind
+from parlab import CorruptFileError, RLConfig, TaskKind
 from parlab.harness import (
     ExperimentConfig,
     TaskDistribution,
@@ -145,6 +145,27 @@ class TestReplayVerb:
 
     def test_missing_trace_file_exits_two(self, tmp_path, capsys):
         assert main(["replay", "--trace", str(tmp_path / "absent.jsonl")]) == 2
+
+    def test_truncated_trace_or_params_exits_two_with_one_error_line(
+        self, tmp_path, config_path, capsys
+    ):
+        trace_path = self._traces(tmp_path, config_path)
+        text = trace_path.read_text()
+        trace_path.write_text(text[: len(text.splitlines()[0]) + 20])
+        with pytest.raises(CorruptFileError, match=r"line 2"):
+            read_trace_records(trace_path)
+        params_path = tmp_path / "params.json"
+        params_path.write_text('{"shape": [4, 9], "values": [0.0,')
+        capsys.readouterr()
+        for argv in (
+            ["replay", "--trace", str(trace_path)],
+            ["report", "--traces", str(trace_path)],
+            ["run", "--config", str(config_path), "--params", str(params_path)],
+        ):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "line " in err
 
 
 class TestReportVerb:

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parlab import (
     AGENT_TEMPLATES,
@@ -18,8 +20,11 @@ from parlab import (
     StepLimits,
     SubagentProfile,
     SubtaskAssignment,
+    TaskKind,
     ToolCall,
     ToolCallAction,
+    decode_action,
+    default_vocabulary,
     derive_assignment_seed,
     gen_batch_download,
     gen_deep_search,
@@ -310,3 +315,94 @@ class TestTermination:
         env.force_terminate("token_cap")
         assert env.done and env.terminal_flag == "token_cap"
         assert env.final_answer == [file_id]
+
+
+def reference_pending(env) -> list[str]:
+    """The rescanning rule the maintained sets replace: unresolved units sorted
+    by (progress == 0, position in sorted unit order)."""
+    truth = env.task.ground_truth
+    if env.task.kind is TaskKind.WIDE_SEARCH:
+        order = sorted(truth.wide.items)
+        progress, resolved = env._fetch_progress, env._resolved
+    elif env.task.kind is TaskKind.DEEP_SEARCH:
+        order = sorted(b.nodes[0] for b in truth.deep.branches)
+        progress, resolved = env._walked, env._branch_values
+    else:
+        order = sorted(truth.batch.files)
+        progress, resolved = env._download_progress, env._acquired
+    pending = [u for u in order if u not in resolved]
+    return sorted(pending, key=lambda u: (progress[u] == 0, order.index(u)))
+
+
+def direct_call(spec, unit_index: int, node_index: int) -> ToolCallAction:
+    """A tool call aimed at any unit, resolved or not, which decoding never
+    emits: it walks deep branches a sub-agent has already merged."""
+    truth = spec.ground_truth
+    if spec.kind is TaskKind.WIDE_SEARCH:
+        units = sorted(truth.wide.items)
+        return ToolCallAction(ToolCall("fetch", {"key": units[unit_index % len(units)]}))
+    if spec.kind is TaskKind.DEEP_SEARCH:
+        nodes = truth.deep.branches[unit_index % len(truth.deep.branches)].nodes
+        return ToolCallAction(ToolCall("fetch", {"key": nodes[node_index % len(nodes)]}))
+    files = sorted(truth.batch.files)
+    return ToolCallAction(ToolCall("download", {"file_id": files[unit_index % len(files)]}))
+
+
+@st.composite
+def small_tasks(draw):
+    limits = StepLimits(
+        orchestrator_max_steps=200,
+        subagent_max_steps=draw(st.integers(1, 30)),
+        max_tokens=200,
+    )
+    seed = draw(st.integers(0, 10_000))
+    units = draw(st.integers(1, 40))
+    family = draw(st.sampled_from(list(TaskKind)))
+    if family is TaskKind.WIDE_SEARCH:
+        return gen_wide_search(seed, units, draw(st.integers(1, 3)), limits=limits)
+    if family is TaskKind.DEEP_SEARCH:
+        return gen_deep_search(seed, draw(st.integers(1, 4)), units, limits=limits)
+    return gen_batch_download(seed, units, draw(st.integers(1, 3)), limits=limits)
+
+
+# FINISH would only cut the stream short; it changes no unit.
+VOCAB = tuple(t for t in default_vocabulary() if t.kind != "finish")
+
+moves = st.one_of(
+    st.tuples(st.just("token"), st.integers(0, len(VOCAB) - 1), st.just(0)),
+    st.tuples(st.just("direct"), st.integers(0, 39), st.integers(0, 3)),
+)
+
+
+class TestPendingUnits:
+    @settings(max_examples=150, deadline=None)
+    @given(small_tasks(), st.lists(moves, min_size=20, max_size=80))
+    def test_maintained_sets_match_the_rescan(self, spec, stream):
+        env, obs = reset(spec, seed=0)
+        assert env.pending_units() == reference_pending(env)
+        assert obs.unresolved_units == len(env.pending_units())
+        for move, a, b in stream:
+            if env.done:
+                break
+            if move == "token":
+                action = decode_action(VOCAB[a], env)
+            else:
+                action = direct_call(spec, a, b)
+            obs, _ = env.step(action)
+            assert env.pending_units() == reference_pending(env)
+            assert obs.unresolved_units == len(env.pending_units())
+
+    def test_walk_past_a_merged_branch_stays_resolved(self):
+        spec = gen_deep_search(3, depth=3, branching=3)
+        env, _ = reset(spec, seed=0)
+        branch = spec.ground_truth.deep.branches[0]
+        root = branch.nodes[0]
+        env.step(ToolCallAction(ToolCall("fetch", {"key": root})))
+        assert env.pending_units()[0] == root
+        env.step(CreateAgentAction(worker()))
+        env.step(AssignGroupAction((SubtaskAssignment("worker", (root,), seed=0),)))
+        assert root not in env.pending_units()
+        for node in branch.nodes[1:]:
+            obs, _ = env.step(ToolCallAction(ToolCall("fetch", {"key": node})))
+            assert root not in env.pending_units()
+            assert obs.unresolved_units == len(env.pending_units()) == 2

@@ -145,6 +145,16 @@ class TestPartition:
         groups = partition_units(units, {u: 1 for u in units}, 3, "size_balanced")
         assert sorted(len(g) for g in groups) == [3, 3, 4]
 
+    def test_balanced_ties_keep_first_occurrence_order(self):
+        # Equal costs tie on the first index of each id, so the repeated "a"
+        # sorts next to its first copy, ahead of "b".
+        units = ["c", "a", "b", "a", "d", "e"]
+        equal = partition_units(units, {u: 1 for u in units}, 3, "size_balanced")
+        assert equal == [["c", "b"], ["a", "d"], ["a", "e"]]
+        costs = {"a": 1, "b": 2, "c": 1, "d": 2, "e": 1}
+        mixed = partition_units(units, costs, 2, "size_balanced")
+        assert mixed == [["b", "c", "a"], ["d", "a", "e"]]
+
     def test_every_scheme_partitions_exactly(self):
         units = [f"u{i}" for i in range(11)]
         costs = {u: (i % 3) + 1 for i, u in enumerate(units)}
