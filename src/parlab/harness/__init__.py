@@ -3,7 +3,6 @@
 from .config import ExperimentConfig, TaskDistribution, config_from_dict, load_config
 from .experiment import (
     RunPaths,
-    early_stop_chooser,
     estimate_budget_table,
     evaluate,
     load_params,

@@ -20,6 +20,7 @@ from ..errors import (
     ConfigError,
     InvalidParameterError,
     InvalidSpecError,
+    MissingTraceDataError,
     ParlabError,
 )
 from ..task_gen import (
@@ -146,13 +147,26 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return REPLAY_MISMATCH
 
 
+REPORT_FIELDS = ("task_id", "r_perf", "critical_steps", "total_steps", "max_width",
+                 "finish_rate")
+
+
+def _metrics_rows(path: str) -> list[dict]:
+    """The metrics row of every record in a trace file."""
+    records = read_trace_records(path)
+    if not records:
+        raise InvalidParameterError(f"no trace records in {path}")
+    rows = []
+    for line_no, record in enumerate(records, start=1):
+        row = record.get("metrics") if isinstance(record, dict) else None
+        if not isinstance(row, dict) or not all(key in row for key in REPORT_FIELDS):
+            raise MissingTraceDataError(f"{path}, line {line_no}: record has no metrics row")
+        rows.append(row)
+    return rows
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
-    rows_per_file = []
-    for path in args.traces:
-        records = read_trace_records(path)
-        if not records:
-            raise InvalidParameterError(f"no trace records in {path}")
-        rows_per_file.append([record["metrics"] for record in records])
+    rows_per_file = [_metrics_rows(path) for path in args.traces]
 
     def aggregate(rows: list[dict]) -> dict:
         n = len(rows)

@@ -81,20 +81,6 @@ def serial_chooser(env: SwarmEnv, vocab: tuple[ActionToken, ...]) -> int:
     return names.index("FINISH")
 
 
-def early_stop_chooser(base, action_budget: int):
-    """Wrap a chooser so it finishes after `action_budget` of its own moves."""
-    count = 0
-
-    def choose(env: SwarmEnv, vocab: tuple[ActionToken, ...]) -> int:
-        nonlocal count
-        if count >= action_budget:
-            return [t.name for t in vocab].index("FINISH")
-        count += 1
-        return base(env, vocab)
-
-    return choose
-
-
 def scripted_rollout(
     task: TaskSpec,
     vocab: tuple[ActionToken, ...],
@@ -151,15 +137,31 @@ def save_params(params: PolicyParams, path: str | Path) -> None:
     Path(path).write_text(canonical_dumps(params_to_dict(params)) + "\n")
 
 
+def _read_json(path: Path) -> object:
+    try:
+        return json.loads(path.read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CorruptFileError(f"{path}: not UTF-8 ({exc.reason})") from exc
+    except json.JSONDecodeError as exc:
+        raise CorruptFileError(f"{path}, line {exc.lineno}: {exc.msg}") from exc
+
+
+def _params_from_file_data(data: object, path: Path) -> PolicyParams:
+    """`params_from_dict` on data read from `path`; a malformed snapshot is a
+    `CorruptFileError` naming the file."""
+    try:
+        return params_from_dict(data)
+    except MissingSnapshotError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptFileError(f"{path}: not a parameter snapshot ({exc})") from exc
+
+
 def load_params(path: str | Path) -> PolicyParams:
     path = Path(path)
     if not path.exists():
         raise MissingSnapshotError(f"no parameter snapshot at {path}")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CorruptFileError(f"{path}, line {exc.lineno}: {exc.msg}") from exc
-    return params_from_dict(data)
+    return _params_from_file_data(_read_json(path), path)
 
 
 # --- budgets -----------------------------------------------------------------------
@@ -256,10 +258,23 @@ def _write_checkpoint(paths: RunPaths, params: PolicyParams, next_iteration: int
 def _load_checkpoint(paths: RunPaths) -> tuple[PolicyParams, int] | None:
     if not paths.checkpoint.exists():
         return None
-    data = json.loads(paths.checkpoint.read_text())
-    if data.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
+    data = _read_json(paths.checkpoint)
+    if not isinstance(data, dict) or data.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise MissingSnapshotError("checkpoint schema not understood")
-    return params_from_dict(data["params"]), data["next_iteration"]
+    next_iteration = data.get("next_iteration")
+    if type(next_iteration) is not int or next_iteration < 0:
+        raise CorruptFileError(f"{paths.checkpoint}: next_iteration is not a count")
+    return _params_from_file_data(data.get("params"), paths.checkpoint), next_iteration
+
+
+def _keep_stats_rows(paths: RunPaths, rows: int) -> None:
+    """Drop stats rows past the checkpoint. A kill between appending
+    iteration t's row and checkpointing t + 1 leaves a row the resume reruns."""
+    if not paths.stats.exists():
+        return
+    lines = paths.stats.read_bytes().splitlines(keepends=True)
+    if len(lines) > rows:
+        paths.stats.write_bytes(b"".join(lines[:rows]))
 
 
 def _write_curves(paths: RunPaths) -> None:
@@ -292,6 +307,7 @@ def train(
     resumed = _load_checkpoint(paths)
     if resumed is not None:
         params, start = resumed
+        _keep_stats_rows(paths, start)
     else:
         params = init_params(len(config.vocab))
         start = 0
@@ -430,16 +446,30 @@ def stop_curve(
     base_chooser,
     seed: int,
 ) -> list[tuple[int, float]]:
-    """(critical steps, score) of the chooser stopped after 0..n of its moves."""
-    full = scripted_rollout(task, vocab, base_chooser, seed)
+    """(critical steps, score) of the chooser stopped after 0..L of its moves.
+
+    One scripted run yields every point. A run stopped after b < L moves makes
+    the same first b moves as the full run, because the chooser is
+    deterministic and the episode seed is the same; then it finishes. A finish
+    submits ``assemble_answer()``, a pure view of the env, and adds one stage
+    of one main step with no sub-agents. So point b is read from the live env
+    just before move b: the critical steps so far plus one, and the score of
+    the answer assembled now. The last point is the full run itself, however
+    it ended (``finished``, ``budget_exhausted`` or ``token_cap``).
+    """
     curve: list[tuple[int, float]] = []
-    for budget in range(len(full.tokens) + 1):
-        trace = scripted_rollout(
-            task, vocab, early_stop_chooser(base_chooser, budget), seed
-        )
-        curve.append(
-            (critical_steps(trace.stages), answer_score(task, trace.final_answer))
-        )
+    steps = 0
+    counted = 0
+
+    def probe(env: SwarmEnv, vocab: tuple[ActionToken, ...]) -> int:
+        nonlocal steps, counted
+        steps += critical_steps(env.stages[counted:])
+        counted = len(env.stages)
+        curve.append((steps + 1, answer_score(task, env.assemble_answer())))
+        return base_chooser(env, vocab)
+
+    full = scripted_rollout(task, vocab, probe, seed)
+    curve.append((critical_steps(full.stages), answer_score(task, full.final_answer)))
     return curve
 
 

@@ -152,14 +152,18 @@ def write_traces(
 
 def read_trace_records(path: str | Path) -> list[dict]:
     records = []
-    with Path(path).open() as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if line:
-                try:
+    with Path(path).open("rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if line:
                     records.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise CorruptFileError(f"{path}, line {line_no}: {exc.msg}") from exc
+            except UnicodeDecodeError as exc:
+                raise CorruptFileError(
+                    f"{path}, line {line_no}: not UTF-8 ({exc.reason})"
+                ) from exc
+            except json.JSONDecodeError as exc:
+                raise CorruptFileError(f"{path}, line {line_no}: {exc.msg}") from exc
     return records
 
 

@@ -167,8 +167,26 @@ class TestReplayVerb:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert "line " in err
 
+    def test_invalid_utf8_trace_exits_two(self, tmp_path, capsys):
+        trace_path = tmp_path / "traces.jsonl"
+        trace_path.write_bytes(b"\xff\xfe{}\n")
+        with pytest.raises(CorruptFileError, match=r"line 1: not UTF-8"):
+            read_trace_records(trace_path)
+        assert main(["replay", "--trace", str(trace_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(trace_path) in err
+
 
 class TestReportVerb:
+    def test_record_without_metrics_exits_two(self, tmp_path, capsys):
+        trace_path = tmp_path / "traces.jsonl"
+        trace_path.write_text('{"a": 1}\n')
+        assert main(["report", "--traces", str(trace_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"{trace_path}, line 1" in err
+
     def test_single_file_report(self, tmp_path, config_path, capsys):
         out_dir = tmp_path / "out"
         main(["run", "--config", str(config_path), "--out", str(out_dir)])

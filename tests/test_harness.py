@@ -4,15 +4,24 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from parlab import (
     ConfigError,
+    CorruptFileError,
     InvalidParameterError,
     MissingSnapshotError,
     MissingTraceDataError,
     PARLConfig,
     RLConfig,
+    StepLimits,
     TaskKind,
+    answer_score,
+    critical_steps,
+    default_vocabulary,
+    gen_batch_download,
+    gen_deep_search,
     gen_wide_search,
     parl_reward,
     rollout_episode,
@@ -39,8 +48,10 @@ from parlab.harness import (
     scripted_rollout,
     serial_chooser,
     speedup_report,
+    stop_curve,
     summarize_traces,
     suspend_episode,
+    swarm_chooser,
     trace_to_record,
     train,
     write_traces,
@@ -375,6 +386,37 @@ class TestTrainLoop:
         save_params(params, path)
         assert np.array_equal(load_params(path).weights, params.weights)
 
+    def test_resume_drops_a_stats_row_written_after_the_checkpoint(self, tmp_path):
+        config = self._config(3)
+        tasks = config.materialize_tasks(seed=0)
+        train(config, tasks, seed=0, out_dir=tmp_path / "a")
+        train(self._config(1), tasks, seed=0, out_dir=tmp_path / "b")
+        # Killed after appending iteration 1's row, before checkpointing it.
+        row = (tmp_path / "a" / "stats.jsonl").read_text().splitlines()[1]
+        with (tmp_path / "b" / "stats.jsonl").open("a") as handle:
+            handle.write(row + "\n")
+        train(config, tasks, seed=0, out_dir=tmp_path / "b")
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            a = (tmp_path / "a" / name).read_bytes()
+            assert a == (tmp_path / "b" / name).read_bytes(), name
+
+    def test_params_that_do_not_fit_their_shape_are_corrupt(self, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_text('{"shape": [3, 3], "values": [0.0]}')
+        with pytest.raises(CorruptFileError, match="params.json"):
+            load_params(path)
+
+    def test_truncated_checkpoint_is_corrupt(self, tmp_path):
+        config = self._config(2)
+        tasks = config.materialize_tasks(seed=0)
+        train(self._config(1), tasks, seed=0, out_dir=tmp_path)
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(checkpoint.read_text()[:40])
+        with pytest.raises(CorruptFileError, match="checkpoint.json"):
+            train(config, tasks, seed=0, out_dir=tmp_path)
+
 
 class TestRunExperiment:
     def test_outputs_and_reproducibility(self, tmp_path):
@@ -433,3 +475,91 @@ class TestRunExperiment:
         with pytest.raises(InvalidParameterError):
             speedup_report([{"task_id": "a", "critical_steps": 3}],
                            [{"task_id": "b", "critical_steps": 3}])
+
+
+# --- stop curves --------------------------------------------------------------------
+
+
+def stopped_after(base, budget: int, finish: int):
+    """`base` for its first `budget` moves, then FINISH."""
+    moves = 0
+
+    def choose(env, vocab):
+        nonlocal moves
+        moves += 1
+        return finish if moves > budget else base(env, vocab)
+
+    return choose
+
+
+def rerun_stop_curve(task, vocab, base, seed):
+    """The stop curve by definition: one rerun per early-stop budget 0..L."""
+    finish = [t.name for t in vocab].index("FINISH")
+    full = scripted_rollout(task, vocab, base, seed)
+    curve = []
+    for budget in range(len(full.tokens) + 1):
+        trace = scripted_rollout(task, vocab, stopped_after(base, budget, finish), seed)
+        curve.append((critical_steps(trace.stages), answer_score(task, trace.final_answer)))
+    return curve
+
+
+def build_task(family, seed, units, extra, limits):
+    limits = StepLimits(*limits)
+    if family is TaskKind.WIDE_SEARCH:
+        return gen_wide_search(seed, units, extra, limits=limits)
+    if family is TaskKind.DEEP_SEARCH:
+        return gen_deep_search(seed, extra + 1, units, limits=limits)
+    return gen_batch_download(seed, units, extra, limits=limits)
+
+
+ASSIGN_NAMES = [t.name for t in default_vocabulary() if t.kind == "assign"]
+
+# (family, task seed, units, extra, (orchestrator, sub-agent, token) limits,
+# swarm (create_count, assign_name)), one or more per terminal flag.
+FLAG_CASES = (
+    (TaskKind.WIDE_SEARCH, 1, 3, 2, (100, 100, 100), (1, "ASSIGN_2")),
+    (TaskKind.DEEP_SEARCH, 2, 3, 2, (100, 100, 100), (2, "ASSIGN_4")),
+    (TaskKind.BATCH_DOWNLOAD, 3, 8, 2, (3, 100, 100), (3, "ASSIGN_8")),
+    (TaskKind.WIDE_SEARCH, 4, 8, 3, (100, 100, 4), (0, "ASSIGN_2")),
+    (TaskKind.DEEP_SEARCH, 5, 6, 3, (4, 5, 100), (1, "ASSIGN_8")),
+)
+
+
+def with_flag_cases(test):
+    for case in FLAG_CASES:
+        test = example(*case)(test)
+    return test
+
+
+class TestStopCurve:
+    VOCAB = default_vocabulary()
+
+    def choosers(self, swarm):
+        return (serial_chooser, swarm_chooser(*swarm))
+
+    @settings(max_examples=60, deadline=None)
+    @with_flag_cases
+    @given(
+        st.sampled_from(list(TaskKind)),
+        st.integers(0, 10_000),
+        st.integers(1, 30),
+        st.integers(1, 3),
+        st.tuples(st.integers(1, 60), st.integers(1, 30), st.integers(1, 60)),
+        st.tuples(st.integers(0, 3), st.sampled_from(ASSIGN_NAMES)),
+    )
+    def test_one_pass_curve_equals_the_rerun_definition(
+        self, family, seed, units, extra, limits, swarm
+    ):
+        task = build_task(family, seed, units, extra, limits)
+        for chooser in self.choosers(swarm):
+            for episode_seed in (0, 7):
+                expected = rerun_stop_curve(task, self.VOCAB, chooser, episode_seed)
+                assert stop_curve(task, self.VOCAB, chooser, episode_seed) == expected
+
+    def test_fixed_cases_reach_every_terminal_flag(self):
+        flags = set()
+        for family, seed, units, extra, limits, swarm in FLAG_CASES:
+            task = build_task(family, seed, units, extra, limits)
+            for chooser in self.choosers(swarm):
+                flags.add(scripted_rollout(task, self.VOCAB, chooser, 0).terminal_flag)
+        assert flags == {"finished", "budget_exhausted", "token_cap"}
