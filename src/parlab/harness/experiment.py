@@ -103,7 +103,7 @@ def scripted_rollout(
                 index=index,
                 name=token.name,
                 behavior_logprob=0.0,
-                features=tuple(float(x) for x in features),
+                features=tuple(features.tolist()),
             )
         )
     if not env.done:
@@ -315,7 +315,7 @@ def train(
     table: BudgetTable | None = None
     if config.toggle is not None:
         if paths.budgets.exists():
-            table = BudgetTable.from_dict(json.loads(paths.budgets.read_text()))
+            table = BudgetTable.from_dict(_read_json(paths.budgets))
         else:
             table = estimate_budget_table(tasks, config, params, seed)
             paths.budgets.write_text(canonical_dumps(table.to_dict()) + "\n")

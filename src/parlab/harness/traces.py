@@ -104,35 +104,42 @@ def trace_to_record(
 
 
 def record_to_trace(record: dict) -> tuple[EpisodeTrace, tuple[ActionToken, ...]]:
+    """Rebuild a full record's trace and vocabulary; a summary-only record, or
+    one that lacks a key, raises `MissingTraceDataError`."""
+    if not isinstance(record, dict):
+        raise MissingTraceDataError("record is not a JSON object")
     if record.get("tokens") is None:
         raise MissingTraceDataError(
             "summary-only record: token stream was not persisted"
         )
-    trace = EpisodeTrace(
-        task=task_spec_from_dict(record["task"]),
-        episode_seed=record["episode_seed"],
-        tokens=[
-            TokenRecord(
-                index=t["index"],
-                name=t["name"],
-                behavior_logprob=t["behavior_logprob"],
-                features=tuple(t["features"]),
-            )
-            for t in record["tokens"]
-        ],
-        stages=[stage_from_dict(s) for s in record["stages"]],
-        terminal_flag=record["terminal_flag"],
-        final_answer=record["final_answer"],
-        partial=record["partial"],
-        partial_rollout=record.get("partial_rollout", False),
-        params_hash=record["params_hash"],
-        reward=(
-            breakdown_from_dict(record["reward"])
-            if record.get("reward") is not None
-            else None
-        ),
-    )
-    vocab = tuple(token_from_dict(t) for t in record["vocab"])
+    try:
+        trace = EpisodeTrace(
+            task=task_spec_from_dict(record["task"]),
+            episode_seed=record["episode_seed"],
+            tokens=[
+                TokenRecord(
+                    index=t["index"],
+                    name=t["name"],
+                    behavior_logprob=t["behavior_logprob"],
+                    features=tuple(t["features"]),
+                )
+                for t in record["tokens"]
+            ],
+            stages=[stage_from_dict(s) for s in record["stages"]],
+            terminal_flag=record["terminal_flag"],
+            final_answer=record["final_answer"],
+            partial=record["partial"],
+            partial_rollout=record.get("partial_rollout", False),
+            params_hash=record["params_hash"],
+            reward=(
+                breakdown_from_dict(record["reward"])
+                if record.get("reward") is not None
+                else None
+            ),
+        )
+        vocab = tuple(token_from_dict(t) for t in record["vocab"])
+    except KeyError as exc:
+        raise MissingTraceDataError(f"record lacks key {exc.args[0]!r}") from exc
     return trace, vocab
 
 
@@ -301,7 +308,10 @@ def replay_file(
         raise InvalidParameterError(f"no trace records in {path}")
     verdict = Verdict(ok=True)
     for line_no, record in enumerate(records, start=1):
-        single = replay_trace(record, params, snapshots)
+        try:
+            single = replay_trace(record, params, snapshots)
+        except MissingTraceDataError as exc:
+            raise MissingTraceDataError(f"{path}, line {line_no}: {exc}") from exc
         for message in single.mismatches:
             verdict.add(f"line {line_no}: {message}")
     return verdict

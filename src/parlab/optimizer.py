@@ -81,8 +81,12 @@ class RolloutBatch:
     """One problem's response group, frozen at sampling time.
 
     Behavior log-probs live in the traces, recorded when the episodes were
-    sampled; current log-probs are recomputed on demand from the stored
-    per-token features because the live parameters keep moving.
+    sampled. Current log-probs and score functions come from each token's
+    cached sampling softmax when the parameters are the sampling ones (same
+    ``params_hash``, so weights changed in place after sampling are caught)
+    and every token of the trace carries a cache; otherwise they are
+    recomputed from the stored per-token features. Both ways give the same
+    bits.
     """
 
     problem_id: str
@@ -111,14 +115,29 @@ class RolloutBatch:
         ]
 
     def current_logprobs(self, params: PolicyParams) -> list[np.ndarray]:
+        params_hash = params.params_hash()
         out: list[np.ndarray] = []
         for trace in self.traces:
-            values = [
-                action_logprobs(params, np.array(tok.features))[tok.index]
-                for tok in trace.tokens
-            ]
+            if _has_sampling_softmax(trace, params_hash):
+                values = [
+                    tok.softmax.logits[tok.index] - np.log(tok.softmax.total)
+                    for tok in trace.tokens
+                ]
+            else:
+                values = [
+                    action_logprobs(params, np.array(tok.features))[tok.index]
+                    for tok in trace.tokens
+                ]
             out.append(np.array(values))
         return out
+
+
+def _has_sampling_softmax(trace: EpisodeTrace, params_hash: str) -> bool:
+    """Whether every token of ``trace`` carries the policy evaluation of the
+    parameters hashed ``params_hash``."""
+    return trace.params_hash == params_hash and all(
+        tok.softmax is not None for tok in trace.tokens
+    )
 
 
 @dataclass(frozen=True)
@@ -185,7 +204,11 @@ def rl_gradient(
     """Exact gradient of ``rl_objective`` w.r.t. the weight matrix.
 
     The mask is constant under differentiation, so a token contributes
-    (mask * advantage - 2 * tau * log_ratio) times its score vector.
+    (mask * advantage - 2 * tau * log_ratio) times its score vector. The
+    score vectors of one trace's tokens with a nonzero coefficient come from
+    one stacked ``grad_logprob`` call, and are added in token order: summing
+    over the token axis in one reduction would reassociate the additions and
+    change the bits.
     """
     adv = advantage(batch.rewards) if advantages is None else np.asarray(advantages)
     if adv.shape[0] != len(batch.traces):
@@ -194,16 +217,28 @@ def rl_gradient(
     grad = np.zeros_like(params.weights)
     if total == 0:
         return grad
+    params_hash = params.params_hash()
     behavior = batch.behavior_logprobs()
     current = batch.current_logprobs(params)
     for j, trace in enumerate(batch.traces):
         log_ratios = current[j] - behavior[j]
         mask = clip_mask(log_ratios, cfg.alpha, cfg.beta)
-        for position, tok in enumerate(trace.tokens):
-            coeff = mask[position] * adv[j] - 2.0 * cfg.tau * log_ratios[position]
-            if coeff == 0.0:
-                continue
-            grad += coeff * grad_logprob(params, np.array(tok.features), tok.index)
+        coeffs = mask * adv[j] - 2.0 * cfg.tau * log_ratios
+        active = np.flatnonzero(coeffs != 0.0)
+        if active.size == 0:
+            continue
+        tokens = [trace.tokens[position] for position in active]
+        probs = None
+        if _has_sampling_softmax(trace, params_hash):
+            probs = np.array([tok.softmax.probs for tok in tokens])
+        scores = grad_logprob(
+            params,
+            np.array([tok.features for tok in tokens]),
+            [tok.index for tok in tokens],
+            probs,
+        )
+        for row in coeffs[active, None, None] * scores:
+            grad += row
     return grad / total
 
 

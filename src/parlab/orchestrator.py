@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -175,18 +175,35 @@ def featurize(obs: Observation, task: TaskSpec) -> np.ndarray:
     return features
 
 
-def action_distribution(params: PolicyParams, features: np.ndarray) -> np.ndarray:
-    """Softmax over the vocabulary; numerically stable for large logits."""
+class Softmax(NamedTuple):
+    """The policy evaluated at one token, as kept by the sampling pass."""
+
+    probs: np.ndarray
+    logits: np.ndarray  # shifted so that the largest is 0
+    total: np.float64  # sum of exp(logits)
+
+
+def _softmax(
+    params: PolicyParams, features: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.float64]:
+    """One policy evaluation: max-shifted logits, their exponentials and the
+    sum of those. Every softmax of the policy is taken from this one formula,
+    so a cached evaluation and a recomputed one agree bit for bit."""
     logits = params.weights @ features
     logits = logits - logits.max()
     exp = np.exp(logits)
-    return exp / exp.sum()
+    return logits, exp, exp.sum()
+
+
+def action_distribution(params: PolicyParams, features: np.ndarray) -> np.ndarray:
+    """Softmax over the vocabulary; numerically stable for large logits."""
+    _, exp, total = _softmax(params, features)
+    return exp / total
 
 
 def action_logprobs(params: PolicyParams, features: np.ndarray) -> np.ndarray:
-    logits = params.weights @ features
-    logits = logits - logits.max()
-    return logits - np.log(np.exp(logits).sum())
+    logits, _, total = _softmax(params, features)
+    return logits - np.log(total)
 
 
 def sample_action(dist: np.ndarray, rng: random.Random) -> tuple[int, float]:
@@ -197,7 +214,7 @@ def sample_action(dist: np.ndarray, rng: random.Random) -> tuple[int, float]:
     """
     u = rng.random()
     acc = 0.0
-    for index, p in enumerate(dist):
+    for index, p in enumerate(dist.tolist()):
         acc += p
         if u < acc:
             return index, float(np.log(dist[index]))
@@ -205,15 +222,35 @@ def sample_action(dist: np.ndarray, rng: random.Random) -> tuple[int, float]:
     return index, float(np.log(dist[index]))
 
 
-def grad_logprob(params: PolicyParams, features: np.ndarray, index: int) -> np.ndarray:
-    """d log pi(index | features) / d weights, shape (V, F).
+def grad_logprob(
+    params: PolicyParams,
+    features: np.ndarray,
+    index: int | Sequence[int],
+    probs: np.ndarray | None = None,
+) -> np.ndarray:
+    """d log pi(index | features) / d weights.
 
-    For a linear-softmax policy this is (onehot(index) - probs) outer features.
+    For a linear-softmax policy this is (onehot(index) - probs) outer features,
+    of shape (V, F). ``probs`` is the policy's distribution at ``features``,
+    computed from ``params`` when not given.
+
+    Stacked form: ``features`` of shape (N, F), a sequence of N indices and,
+    if given, ``probs`` of shape (N, V) give the N score functions, shape
+    (N, V, F). Each row is bit for bit the 1-D call on that token: the same
+    elementwise ops as ``np.outer``, with an explicit one-hot so that the
+    sign of a zero matches too.
     """
-    probs = action_distribution(params, features)
+    if probs is None:
+        if features.ndim == 1:
+            probs = action_distribution(params, features)
+        else:
+            probs = np.array([action_distribution(params, x) for x in features])
     onehot = np.zeros_like(probs)
-    onehot[index] = 1.0
-    return np.outer(onehot - probs, features)
+    if features.ndim == 1:
+        onehot[index] = 1.0
+        return np.outer(onehot - probs, features)
+    onehot[np.arange(len(index)), index] = 1.0
+    return (onehot - probs)[:, :, None] * features[:, None, :]
 
 
 # --- decoding ----------------------------------------------------------------------
@@ -309,12 +346,19 @@ def decode_action(token: ActionToken, env: SwarmEnv) -> Action:
 
 @dataclass(frozen=True)
 class TokenRecord:
-    """One emitted action token with everything needed to re-evaluate it later."""
+    """One emitted action token with everything needed to re-evaluate it later.
+
+    ``softmax`` is the sampling pass's policy evaluation at this token, under
+    the parameters named by the trace's ``params_hash``. It lives in memory
+    only: it takes no part in equality, is never serialized, and is ``None``
+    on tokens read back from a trace file or chosen by a script.
+    """
 
     index: int
     name: str
     behavior_logprob: float
     features: tuple[float, ...]
+    softmax: Softmax | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -364,8 +408,11 @@ def rollout_episode(
 
     ``forced_prefix`` replays recorded token indices before sampling resumes,
     which is how suspended episodes continue under the same seed. The sampler
-    rng is re-derived per token position, so forcing the first k tokens of a
+    rng is reseeded per token position, so forcing the first k tokens of a
     previously sampled episode reproduces it exactly.
+
+    The policy is evaluated once per token; each ``TokenRecord`` keeps that
+    evaluation so the gradient under the same parameters need not redo it.
 
     ``stop_after`` suspends the episode after that many tokens without
     terminating it: the trace comes back flagged partial, with no terminal
@@ -377,18 +424,20 @@ def rollout_episode(
     cap = task.limits.max_tokens if max_tokens is None else max_tokens
     env, obs = reset(task, seed, constants)
     trace = EpisodeTrace(task=task, episode_seed=seed, params_hash=params.params_hash())
+    rng = random.Random(0)
     while not env.done and len(trace.tokens) < cap:
         if stop_after is not None and len(trace.tokens) >= stop_after:
             trace.partial = True
             break
         features = featurize(obs, task)
         position = len(trace.tokens)
+        logits, exp, total = _softmax(params, features)
+        dist = exp / total
         if position < len(forced_prefix):
             index = forced_prefix[position]
-            logprob = float(action_logprobs(params, features)[index])
+            logprob = float(logits[index] - np.log(total))
         else:
-            rng = random.Random(derive_seed("token", seed, position))
-            dist = action_distribution(params, features)
+            rng.seed(derive_seed("token", seed, position))
             index, logprob = sample_action(dist, rng)
         token = vocab[index]
         obs, _ = env.step(decode_action(token, env))
@@ -397,7 +446,8 @@ def rollout_episode(
                 index=index,
                 name=token.name,
                 behavior_logprob=logprob,
-                features=tuple(float(x) for x in features),
+                features=tuple(features.tolist()),
+                softmax=Softmax(dist, logits, total),
             )
         )
     if not env.done and not trace.partial:

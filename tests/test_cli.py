@@ -177,6 +177,17 @@ class TestReplayVerb:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert str(trace_path) in err
 
+    @pytest.mark.parametrize(
+        "line, names", [('{"tokens": [], "stages": []}', "'task'"), ("[]", "JSON object")]
+    )
+    def test_malformed_record_exits_two(self, tmp_path, capsys, line, names):
+        trace_path = tmp_path / "traces.jsonl"
+        trace_path.write_text(line + "\n")
+        assert main(["replay", "--trace", str(trace_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"{trace_path}, line 1" in err and names in err
+
 
 class TestReportVerb:
     def test_record_without_metrics_exits_two(self, tmp_path, capsys):

@@ -17,6 +17,7 @@ from parlab import (
     RLConfig,
     StepLimits,
     TaskKind,
+    ToggleConfig,
     answer_score,
     critical_steps,
     default_vocabulary,
@@ -415,6 +416,14 @@ class TestTrainLoop:
         checkpoint = tmp_path / "checkpoint.json"
         checkpoint.write_text(checkpoint.read_text()[:40])
         with pytest.raises(CorruptFileError, match="checkpoint.json"):
+            train(config, tasks, seed=0, out_dir=tmp_path)
+
+
+    def test_truncated_budgets_file_is_corrupt(self, tmp_path):
+        config = small_config(rl=RLConfig(K=2, iterations=1), toggle=ToggleConfig())
+        tasks = config.materialize_tasks(seed=0)
+        (tmp_path / "budgets.json").write_text('{"budg')
+        with pytest.raises(CorruptFileError, match="budgets.json"):
             train(config, tasks, seed=0, out_dir=tmp_path)
 
 

@@ -1,27 +1,39 @@
 """Objective, gradient, trust-window masking, and the training step."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from parlab import (
+    FEATURE_DIM,
     GradientReport,
     InvalidParameterError,
     MissingBudgetError,
     PARLConfig,
+    PolicyParams,
     RLConfig,
     RolloutBatch,
     ToggleConfig,
+    action_logprobs,
     advantage,
     clip_mask,
     collect_group,
+    default_vocabulary,
     fd_check,
+    gen_batch_download,
+    gen_deep_search,
+    gen_wide_search,
+    grad_logprob,
     rl_gradient,
     rl_objective,
     train_step,
 )
+from parlab import optimizer
+from parlab.harness import record_to_trace, trace_to_record
 
-from conftest import TINY_VOCAB, perturbed, sample_batch, zero_params
+from conftest import SMALL_LIMITS, TINY_VOCAB, perturbed, sample_batch, zero_params
 
 
 class TestRLConfig:
@@ -118,6 +130,131 @@ class TestRolloutBatch:
         for cur, beh in zip(batch.current_logprobs(params),
                             batch.behavior_logprobs()):
             assert np.array_equal(cur, beh)
+
+
+def without_softmax_cache(batch: RolloutBatch) -> RolloutBatch:
+    """The same batch with every token's sampling softmax dropped, so every
+    call on it takes the recompute path."""
+    traces = [
+        dataclasses.replace(
+            trace,
+            tokens=[dataclasses.replace(tok, softmax=None) for tok in trace.tokens],
+        )
+        for trace in batch.traces
+    ]
+    return RolloutBatch(batch.problem_id, traces, list(batch.rewards))
+
+
+def float_bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def per_token_gradient(params: PolicyParams, batch: RolloutBatch, cfg: RLConfig):
+    """`rl_gradient` as one recomputed softmax and one score function per
+    token: the reference whose bits the cached, stacked form must keep."""
+    adv = advantage(batch.rewards)
+    grad = np.zeros_like(params.weights)
+    for j, trace in enumerate(batch.traces):
+        for tok in trace.tokens:
+            features = np.array(tok.features)
+            log_ratio = (
+                action_logprobs(params, features)[tok.index] - tok.behavior_logprob
+            )
+            mask = clip_mask(log_ratio, cfg.alpha, cfg.beta)
+            coeff = mask * adv[j] - 2.0 * cfg.tau * log_ratio
+            if coeff != 0.0:
+                grad += coeff * grad_logprob(params, features, tok.index)
+    return grad / batch.total_tokens()
+
+
+TASK_FAMILIES = (
+    lambda seed, a, b: gen_wide_search(seed, a, b, limits=SMALL_LIMITS),
+    lambda seed, a, b: gen_deep_search(seed, a, b, limits=SMALL_LIMITS),
+    lambda seed, a, b: gen_batch_download(seed, a, b, limits=SMALL_LIMITS),
+)
+
+
+class TestSamplingSoftmaxCache:
+    """The gradient reuses the sampling pass's softmax only where that gives
+    exactly the bits a recomputation gives, signed zeros included."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        family=st.sampled_from(TASK_FAMILIES),
+        task_seed=st.integers(0, 10_000),
+        size=st.tuples(st.integers(1, 4), st.integers(1, 3)),
+        vocab_rows=st.lists(st.integers(0, 8), min_size=2, max_size=9, unique=True),
+        weight_seed=st.integers(0, 10_000),
+        scale=st.sampled_from([0.0, 0.5, 3.0]),
+        K=st.integers(2, 4),
+        rewards=st.one_of(
+            st.sampled_from([0.0, 1.0]).map(lambda r: [r]),
+            st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=4, max_size=4),
+        ),
+        tau=st.sampled_from([0.0, 0.3]),
+        evaluate_at=st.sampled_from(["sampling", "copy", "perturbed"]),
+        round_trip=st.booleans(),
+    )
+    def test_cached_path_equals_recompute_path(
+        self, family, task_seed, size, vocab_rows, weight_seed, scale, K,
+        rewards, tau, evaluate_at, round_trip,
+    ):
+        task = family(task_seed, *size)
+        full = default_vocabulary()
+        vocab = tuple(full[i] for i in sorted(vocab_rows))
+        rng = np.random.default_rng(weight_seed)
+        params = PolicyParams(scale * rng.standard_normal((len(vocab), FEATURE_DIM)))
+        traces = collect_group(task, params, vocab, K, t=0, seed=task_seed)
+        if round_trip:
+            traces[0], _ = record_to_trace(trace_to_record(traces[0], vocab))
+        group_rewards = [rewards[k % len(rewards)] for k in range(K)]
+        batch = RolloutBatch(task.task_id, traces, group_rewards)
+        recompute = without_softmax_cache(batch)
+        at = {
+            "sampling": params,
+            "copy": params.copy(),
+            "perturbed": perturbed(params, 0.3, seed=weight_seed),
+        }[evaluate_at]
+        cfg = RLConfig(K=K, tau=tau)
+        gradient = rl_gradient(at, batch, cfg).tobytes()
+        assert gradient == rl_gradient(at, recompute, cfg).tobytes()
+        assert gradient == per_token_gradient(at, batch, cfg).tobytes()
+        assert float_bits(rl_objective(at, batch, cfg)) == float_bits(
+            rl_objective(at, recompute, cfg)
+        )
+        for cached, fresh in zip(batch.current_logprobs(at),
+                                 recompute.current_logprobs(at)):
+            assert cached.tobytes() == fresh.tobytes()
+        tokens = traces[-1].tokens
+        features = np.array([tok.features for tok in tokens])
+        indices = [tok.index for tok in tokens]
+        probs = np.array([tok.softmax.probs for tok in tokens])
+        stacked = grad_logprob(params, features, indices, probs)
+        assert stacked.shape == (len(tokens), len(vocab), FEATURE_DIM)
+        assert stacked.tobytes() == grad_logprob(params, features, indices).tobytes()
+        for row, tok in zip(stacked, tokens):
+            single = grad_logprob(params, np.array(tok.features), tok.index)
+            assert row.tobytes() == single.tobytes()
+
+    def test_weights_changed_in_place_take_the_recompute_path(
+        self, wide_task, monkeypatch
+    ):
+        params = perturbed(zero_params(), 0.5, seed=2)
+        batch, _ = sample_batch(wide_task, params)
+        recompute = without_softmax_cache(batch)
+        cfg = RLConfig(tau=0.3)
+        calls = []
+        real = optimizer.action_logprobs
+        monkeypatch.setattr(
+            optimizer, "action_logprobs", lambda p, x: calls.append(1) or real(p, x)
+        )
+        sampled = rl_gradient(params, batch, cfg)
+        assert calls == []
+        params.weights += np.random.default_rng(5).normal(0.0, 0.3, params.weights.shape)
+        moved = rl_gradient(params, batch, cfg)
+        assert len(calls) == batch.total_tokens()
+        assert moved.tobytes() == rl_gradient(params, recompute, cfg).tobytes()
+        assert moved.tobytes() != sampled.tobytes()
 
 
 class TestObjective:
