@@ -61,6 +61,7 @@ from .optimizer import (
     advantage,
     clip_mask,
     collect_group,
+    collect_groups,
     fd_check,
     rl_gradient,
     rl_objective,
@@ -81,6 +82,7 @@ from .orchestrator import (
     init_params,
     partition_units,
     rollout_episode,
+    rollout_episodes,
     sample_action,
     token_from_dict,
     vocabulary_manifest,

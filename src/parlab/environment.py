@@ -7,9 +7,9 @@ calls, sub-agent profile creation, parallel assignment groups, or finishing.
 
 Sub-agents are scripted stochastic solvers, frozen by construction: given a
 profile, an assignment and a seed their result never changes and never depends
-on the orchestrator's parameters. Only result summaries are routed back into
-the orchestrator's context; a sub-agent's internal step count inflates its own
-context ledger, not the orchestrator's.
+on the orchestrator's parameters. Only the token counts of result summaries
+are charged to the orchestrator's context; a sub-agent's internal step count
+inflates its own context ledger, not the orchestrator's.
 """
 
 from __future__ import annotations
@@ -198,12 +198,6 @@ class SubtaskResult:
     summary_tokens: int
     error: str = ""
 
-    def summary(self) -> str:
-        status = "finished" if self.finished else "incomplete"
-        if self.error:
-            return f"{self.agent_name}: failed ({self.error})"
-        return f"{self.agent_name}: {status}, {len(self.payload)} unit(s) resolved"
-
 
 # --- actions -------------------------------------------------------------------
 
@@ -246,13 +240,11 @@ Action = ToolCallAction | CreateAgentAction | AssignGroupAction | FinishAction |
 
 @dataclass(frozen=True)
 class Observation:
-    """What the orchestrator sees. History entries are one-line summaries;
-    sub-agent internal traces are never routed back (context sharding)."""
+    """What the orchestrator sees: budget and progress counters only. Of a
+    sub-agent's work, only its assigned and completed counts come back; its
+    internal trace never does (context sharding)."""
 
-    task_description: str
-    visible_history: tuple[tuple[str, str], ...]
     remaining_orchestrator_steps: int
-    orchestrator_context_tokens: int
     remaining_tokens: int
     unresolved_units: int
     total_units: int
@@ -265,7 +257,12 @@ class Observation:
 
 
 class SwarmEnv:
-    """State of one episode. Owned by exactly one rollout at a time.
+    """State of one episode. Owned by exactly one rollout at a time, though a
+    lockstep rollout steps many episodes side by side, each with its own env.
+
+    The record of what happened is ``stages`` alone; ``context_tokens`` only
+    counts the tokens routed back to the orchestrator, and no summary text is
+    kept.
 
     Invariant: every unresolved unit is in exactly one of ``_fresh`` (no
     progress yet, kept in unit order) or ``_started`` (progress > 0), and no
@@ -282,7 +279,6 @@ class SwarmEnv:
         self.constants = constants or ContextConstants()
         self.profiles: dict[str, SubagentProfile] = {}
         self.stages: list[StageRecord] = []
-        self.history: list[tuple[str, str]] = []
         self.steps_used = 0
         self.context_tokens = 0
         self.done = False
@@ -366,12 +362,9 @@ class SwarmEnv:
 
     def observe(self) -> Observation:
         return Observation(
-            task_description=self.task.description,
-            visible_history=tuple(self.history),
             remaining_orchestrator_steps=(
                 self.task.limits.orchestrator_max_steps - self.steps_used
             ),
-            orchestrator_context_tokens=self.context_tokens,
             remaining_tokens=self.task.limits.max_tokens - self.tokens_used(),
             unresolved_units=len(self._fresh) + len(self._started),
             total_units=len(self._unit_order),
@@ -581,8 +574,6 @@ class SwarmEnv:
             completed=self._last_completed,
             result_tokens=routed,
             note="assign_group",
-            action_summary=f"assign_task x{len(results)}",
-            result_summary="; ".join(r.summary() for r in results),
         )
         return results
 
@@ -610,8 +601,6 @@ class SwarmEnv:
         completed: int,
         result_tokens: int,
         note: str,
-        action_summary: str,
-        result_summary: str,
     ) -> None:
         self.stages.append(
             StageRecord(
@@ -624,7 +613,6 @@ class SwarmEnv:
                 note=note,
             )
         )
-        self.history.append((action_summary, result_summary))
         self.context_tokens += self.constants.tokens_per_action_overhead + result_tokens
         self.steps_used += main_steps
         if not self.done and self.steps_used >= self.task.limits.orchestrator_max_steps:
@@ -662,8 +650,6 @@ class SwarmEnv:
             self._apply_stage(
                 1, (), 0, 0, result.summary_tokens,
                 note=f"tool:{action.call.tool}",
-                action_summary=f"{action.call.tool} {dict(action.call.args)}",
-                result_summary=result.summary,
             )
         elif isinstance(action, CreateAgentAction):
             name = action.profile.name
@@ -671,16 +657,12 @@ class SwarmEnv:
                 self._apply_stage(
                     1, (), 0, 0, 1,
                     note="create_agent:duplicate",
-                    action_summary=f"create_subagent {name}",
-                    result_summary=f"duplicate agent name {name!r}",
                 )
             else:
                 self.profiles[name] = action.profile
                 self._apply_stage(
                     1, (), 0, 0, 1,
                     note="create_agent",
-                    action_summary=f"create_subagent {name}",
-                    result_summary=f"agent {name!r} ready",
                 )
         elif isinstance(action, AssignGroupAction):
             self.run_parallel_group(action.assignments)
@@ -693,15 +675,12 @@ class SwarmEnv:
                     note="finish",
                 )
             )
-            self.history.append(("finish", "answer submitted"))
             self.context_tokens += self.constants.tokens_per_action_overhead + 1
             self.steps_used += 1
         elif isinstance(action, NoOpAction):
             self._apply_stage(
                 1, (), 0, 0, 1,
                 note="noop",
-                action_summary="no-op",
-                result_summary=action.reason,
             )
         else:
             raise InvalidParameterError(f"unknown action type {type(action).__name__}")

@@ -11,7 +11,6 @@ parameters an uninterrupted run would have.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +19,7 @@ import numpy as np
 from ..environment import SwarmEnv, reset
 from ..errors import CorruptFileError, InvalidParameterError, MissingSnapshotError
 from ..metrics import EPISODE_CSV_FIELDS, critical_steps
-from ..optimizer import collect_group, train_step
+from ..optimizer import collect_groups, train_step
 from ..orchestrator import (
     ActionToken,
     EpisodeTrace,
@@ -36,7 +35,13 @@ from ..seeding import derive_seed
 from ..task_gen import TaskKind, TaskSpec
 from .config import ExperimentConfig
 from .manager import RolloutJob, rollout_manager
-from .traces import canonical_dumps, metrics_row, write_traces
+from .traces import (
+    canonical_dumps,
+    metrics_row,
+    read_json,
+    read_trace_records,
+    write_traces,
+)
 
 CHECKPOINT_SCHEMA_VERSION = 1
 
@@ -137,15 +142,6 @@ def save_params(params: PolicyParams, path: str | Path) -> None:
     Path(path).write_text(canonical_dumps(params_to_dict(params)) + "\n")
 
 
-def _read_json(path: Path) -> object:
-    try:
-        return json.loads(path.read_bytes().decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise CorruptFileError(f"{path}: not UTF-8 ({exc.reason})") from exc
-    except json.JSONDecodeError as exc:
-        raise CorruptFileError(f"{path}, line {exc.lineno}: {exc.msg}") from exc
-
-
 def _params_from_file_data(data: object, path: Path) -> PolicyParams:
     """`params_from_dict` on data read from `path`; a malformed snapshot is a
     `CorruptFileError` naming the file."""
@@ -161,7 +157,7 @@ def load_params(path: str | Path) -> PolicyParams:
     path = Path(path)
     if not path.exists():
         raise MissingSnapshotError(f"no parameter snapshot at {path}")
-    return _params_from_file_data(_read_json(path), path)
+    return _params_from_file_data(read_json(path), path)
 
 
 # --- budgets -----------------------------------------------------------------------
@@ -173,19 +169,15 @@ def estimate_budget_table(
     params: PolicyParams,
     seed: int,
 ) -> BudgetTable:
-    """One dedicated sampling pass per problem; the result is frozen."""
+    """One dedicated sampling group per problem, all stepped in one lockstep
+    pass; the result is frozen."""
     if config.toggle is None:
         raise InvalidParameterError("budget estimation requires a toggle config")
     table = BudgetTable()
-    for task in tasks:
-        traces = collect_group(
-            task,
-            params,
-            config.vocab,
-            config.rl.K,
-            t=0,
-            seed=derive_seed("budget", seed),
-        )
+    groups = collect_groups(
+        tasks, params, config.vocab, config.rl.K, t=0, seed=derive_seed("budget", seed)
+    )
+    for task, traces in zip(tasks, groups):
         samples = [
             (trace.length(), answer_score(task, trace.final_answer))
             for trace in traces
@@ -258,13 +250,24 @@ def _write_checkpoint(paths: RunPaths, params: PolicyParams, next_iteration: int
 def _load_checkpoint(paths: RunPaths) -> tuple[PolicyParams, int] | None:
     if not paths.checkpoint.exists():
         return None
-    data = _read_json(paths.checkpoint)
+    data = read_json(paths.checkpoint)
     if not isinstance(data, dict) or data.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise MissingSnapshotError("checkpoint schema not understood")
     next_iteration = data.get("next_iteration")
     if type(next_iteration) is not int or next_iteration < 0:
         raise CorruptFileError(f"{paths.checkpoint}: next_iteration is not a count")
     return _params_from_file_data(data.get("params"), paths.checkpoint), next_iteration
+
+
+def _load_budgets(path: Path) -> BudgetTable:
+    """The frozen budget table saved at ``path``; anything but an object of
+    positive int budgets is a `CorruptFileError` naming the file."""
+    data = read_json(path)
+    if not isinstance(data, dict) or not all(
+        type(budget) is int and budget >= 1 for budget in data.values()
+    ):
+        raise CorruptFileError(f"{path}: not an object of positive int budgets")
+    return BudgetTable.from_dict(data)
 
 
 def _keep_stats_rows(paths: RunPaths, rows: int) -> None:
@@ -278,11 +281,12 @@ def _keep_stats_rows(paths: RunPaths, rows: int) -> None:
 
 
 def _write_curves(paths: RunPaths) -> None:
-    """Render stats.jsonl into a fixed-column CSV of training curves."""
-    rows = []
-    if paths.stats.exists():
-        with paths.stats.open() as handle:
-            rows = [json.loads(line) for line in handle if line.strip()]
+    """Render stats.jsonl into a fixed-column CSV of training curves. A line
+    that is not a JSON object is a `CorruptFileError` naming file and line."""
+    rows = read_trace_records(paths.stats) if paths.stats.exists() else []
+    for line_no, row in enumerate(rows, start=1):
+        if not isinstance(row, dict):
+            raise CorruptFileError(f"{paths.stats}, line {line_no}: not a JSON object")
     with paths.curves.open("w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=list(CURVE_FIELDS), extrasaction="ignore")
         writer.writeheader()
@@ -315,7 +319,7 @@ def train(
     table: BudgetTable | None = None
     if config.toggle is not None:
         if paths.budgets.exists():
-            table = BudgetTable.from_dict(_read_json(paths.budgets))
+            table = _load_budgets(paths.budgets)
         else:
             table = estimate_budget_table(tasks, config, params, seed)
             paths.budgets.write_text(canonical_dumps(table.to_dict()) + "\n")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from ..errors import InvalidParameterError
+from ..errors import CorruptFileError, InvalidParameterError
 from ..orchestrator import (
     ActionToken,
     EpisodeTrace,
@@ -26,6 +26,7 @@ from ..orchestrator import (
     rollout_episode,
 )
 from ..task_gen import TaskSpec, task_spec_from_dict, task_spec_to_dict
+from .traces import read_json
 
 RESUME_SCHEMA_VERSION = 1
 
@@ -164,4 +165,8 @@ def save_resume_token(token: ResumeToken, path: str | Path) -> None:
 
 
 def load_resume_token(path: str | Path) -> ResumeToken:
-    return resume_token_from_dict(json.loads(Path(path).read_text()))
+    path = Path(path)
+    data = read_json(path)
+    if not isinstance(data, dict):
+        raise CorruptFileError(f"{path}: not a JSON object")
+    return resume_token_from_dict(data)

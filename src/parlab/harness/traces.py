@@ -21,6 +21,7 @@ from ..errors import (
     InvalidParameterError,
     MissingSnapshotError,
     MissingTraceDataError,
+    ParlabError,
 )
 from ..metrics import StageRecord, episode_metrics_row, finish_rate
 from ..rewards import answer_score, breakdown_from_dict
@@ -105,7 +106,8 @@ def trace_to_record(
 
 def record_to_trace(record: dict) -> tuple[EpisodeTrace, tuple[ActionToken, ...]]:
     """Rebuild a full record's trace and vocabulary; a summary-only record, or
-    one that lacks a key, raises `MissingTraceDataError`."""
+    one that lacks a key or holds one of the wrong type, raises
+    `MissingTraceDataError`."""
     if not isinstance(record, dict):
         raise MissingTraceDataError("record is not a JSON object")
     if record.get("tokens") is None:
@@ -140,6 +142,10 @@ def record_to_trace(record: dict) -> tuple[EpisodeTrace, tuple[ActionToken, ...]
         vocab = tuple(token_from_dict(t) for t in record["vocab"])
     except KeyError as exc:
         raise MissingTraceDataError(f"record lacks key {exc.args[0]!r}") from exc
+    except (TypeError, AttributeError, ValueError) as exc:
+        if isinstance(exc, ParlabError):
+            raise
+        raise MissingTraceDataError(f"record has a field of the wrong type ({exc})") from exc
     return trace, vocab
 
 
@@ -157,7 +163,20 @@ def write_traces(
             handle.write("\n")
 
 
+def read_json(path: Path) -> object:
+    """One JSON document; bad UTF-8 or JSON is a `CorruptFileError` naming
+    the file (and the line)."""
+    try:
+        return json.loads(path.read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CorruptFileError(f"{path}: not UTF-8 ({exc.reason})") from exc
+    except json.JSONDecodeError as exc:
+        raise CorruptFileError(f"{path}, line {exc.lineno}: {exc.msg}") from exc
+
+
 def read_trace_records(path: str | Path) -> list[dict]:
+    """Every record of a JSON Lines file, blank lines skipped; bad UTF-8 or
+    JSON is a `CorruptFileError` naming file and line."""
     records = []
     with Path(path).open("rb") as handle:
         for line_no, raw in enumerate(handle, start=1):

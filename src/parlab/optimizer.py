@@ -31,7 +31,7 @@ from .orchestrator import (
     PolicyParams,
     action_logprobs,
     grad_logprob,
-    rollout_episode,
+    rollout_episodes,
 )
 from .rewards import (
     BudgetTable,
@@ -271,6 +271,31 @@ def fd_check(
     return GradientReport(analytic=analytic, finite_diff=numeric, max_rel_error=max_rel_error)
 
 
+def collect_groups(
+    tasks: list[TaskSpec],
+    params: PolicyParams,
+    vocab: tuple[ActionToken, ...],
+    K: int,
+    t: int,
+    seed: int,
+) -> list[list[EpisodeTrace]]:
+    """K independent episodes of each problem under the frozen sampling
+    policy, one group per task in task order.
+
+    Every episode of every group is stepped in one lockstep
+    ``rollout_episodes`` call; episode k of a task is seeded by the task id,
+    ``t`` and ``seed`` alone, so a group is the same whatever else is sampled
+    with it.
+    """
+    jobs = [
+        (task, derive_seed("group", seed, t, task.task_id, k))
+        for task in tasks
+        for k in range(K)
+    ]
+    traces = rollout_episodes(params, vocab, jobs)
+    return [traces[i * K : (i + 1) * K] for i in range(len(tasks))]
+
+
 def collect_group(
     task: TaskSpec,
     params: PolicyParams,
@@ -279,16 +304,9 @@ def collect_group(
     t: int,
     seed: int,
 ) -> list[EpisodeTrace]:
-    """K independent episodes of one problem under the frozen sampling policy."""
-    return [
-        rollout_episode(
-            params,
-            task,
-            vocab,
-            seed=derive_seed("group", seed, t, task.task_id, k),
-        )
-        for k in range(K)
-    ]
+    """K independent episodes of one problem, stepped in lockstep: the
+    one-task case of ``collect_groups``."""
+    return collect_groups([task], params, vocab, K, t, seed)[0]
 
 
 def train_step(
@@ -302,7 +320,8 @@ def train_step(
     toggle_cfg: ToggleConfig | None = None,
     budget_table: BudgetTable | None = None,
 ) -> tuple[PolicyParams, dict]:
-    """One sampling pass plus one ascent step over all given problems.
+    """One sampling pass plus one ascent step over all given problems. The
+    pass steps the groups of all problems together (``collect_groups``).
 
     The sampling snapshot is ``params`` itself, so every log-ratio starts at
     zero and the whole group sits inside the trust window for this first (and
@@ -321,8 +340,8 @@ def train_step(
     width_values: list[float] = []
     finish_values: list[float] = []
     length_values: list[float] = []
-    for task in problems:
-        traces = collect_group(task, params, vocab, cfg.K, t, seed)
+    groups = collect_groups(problems, params, vocab, cfg.K, t, seed)
+    for task, traces in zip(problems, groups):
         breakdowns = [parl_reward(task, trace, parl_cfg, t) for trace in traces]
         rewards = [b.composite for b in breakdowns]
         raw_rewards.extend(rewards)

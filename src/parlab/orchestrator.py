@@ -187,8 +187,9 @@ def _softmax(
     params: PolicyParams, features: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.float64]:
     """One policy evaluation: max-shifted logits, their exponentials and the
-    sum of those. Every softmax of the policy is taken from this one formula,
-    so a cached evaluation and a recomputed one agree bit for bit."""
+    sum of those. Every softmax of the policy is taken from this formula or
+    its row-wise twin ``_stacked_softmax``, which gives the same bits, so a
+    cached evaluation and a recomputed one agree bit for bit."""
     logits = params.weights @ features
     logits = logits - logits.max()
     exp = np.exp(logits)
@@ -404,55 +405,119 @@ def rollout_episode(
     stop_after: int | None = None,
     constants: ContextConstants | None = None,
 ) -> EpisodeTrace:
-    """Sample one episode under the current policy.
+    """Sample one episode under the current policy: the one-job case of
+    ``rollout_episodes``, which documents the arguments."""
+    return rollout_episodes(
+        params, vocab, [(task, seed)], max_tokens, forced_prefix, stop_after, constants
+    )[0]
+
+
+def _stacked_softmax(
+    weights: np.ndarray, features: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_softmax`` for each row of ``features`` (N, F) at once, bit for bit.
+
+    The logits are one stacked matrix-vector product per row, ``W @ x`` for
+    every x: ``X @ W.T`` would be a matrix-matrix product whose kernel sums in
+    another order and changes the last bits. Row-wise max, exp, sum and
+    division do the same elementwise work and reductions as the 1-D calls.
+    """
+    logits = np.matmul(weights, features[:, :, None])[:, :, 0]
+    logits = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits)
+    return logits, exp, exp.sum(axis=1)
+
+
+def rollout_episodes(
+    params: PolicyParams,
+    vocab: tuple[ActionToken, ...],
+    jobs: Sequence[tuple[TaskSpec, int]],
+    max_tokens: int | None = None,
+    forced_prefix: tuple[int, ...] = (),
+    stop_after: int | None = None,
+    constants: ContextConstants | None = None,
+) -> list[EpisodeTrace]:
+    """Sample one episode per ``(task, seed)`` job under the current policy,
+    all in lockstep; traces come back in job order.
+
+    At each token position the features of every live episode are stacked
+    and the policy is evaluated for all of them in one call, a stack of
+    matrix-vector products that gives each row the bits of its own ``W @ x``
+    (``_stacked_softmax``). Sampling, decoding and stepping stay per
+    episode, and the episodes share no state, so each trace is byte for byte
+    the one a run of its job alone gives.
+    Each ``TokenRecord`` keeps its row of that evaluation, so the gradient
+    under the same parameters need not redo it.
 
     ``forced_prefix`` replays recorded token indices before sampling resumes,
     which is how suspended episodes continue under the same seed. The sampler
-    rng is reseeded per token position, so forcing the first k tokens of a
-    previously sampled episode reproduces it exactly.
+    rng is reseeded per episode and token position, so forcing the first k
+    tokens of a previously sampled episode reproduces it exactly.
 
-    The policy is evaluated once per token; each ``TokenRecord`` keeps that
-    evaluation so the gradient under the same parameters need not redo it.
-
-    ``stop_after`` suspends the episode after that many tokens without
+    ``stop_after`` suspends an episode after that many tokens without
     terminating it: the trace comes back flagged partial, with no terminal
     flag and no submitted answer. ``max_tokens`` is the hard episode cap and
-    does terminate (flag ``token_cap``).
+    does terminate (flag ``token_cap``); by default each task's own limit.
     """
     if params.vocab_size != len(vocab):
         raise InvalidParameterError("params row count must match vocabulary size")
-    cap = task.limits.max_tokens if max_tokens is None else max_tokens
-    env, obs = reset(task, seed, constants)
-    trace = EpisodeTrace(task=task, episode_seed=seed, params_hash=params.params_hash())
+    params_hash = params.params_hash()
+    envs: list[SwarmEnv] = []
+    observations: list[Observation] = []
+    traces: list[EpisodeTrace] = []
+    caps: list[int] = []
+    for task, seed in jobs:
+        env, obs = reset(task, seed, constants)
+        envs.append(env)
+        observations.append(obs)
+        traces.append(EpisodeTrace(task=task, episode_seed=seed, params_hash=params_hash))
+        caps.append(task.limits.max_tokens if max_tokens is None else max_tokens)
     rng = random.Random(0)
-    while not env.done and len(trace.tokens) < cap:
-        if stop_after is not None and len(trace.tokens) >= stop_after:
-            trace.partial = True
+    # For an int seed ``Random.seed`` only wraps this C method (and clears
+    # the gauss cache, which ``random()`` never reads): the same stream,
+    # without a Python frame per token.
+    reseed = super(random.Random, rng).seed
+    live = range(len(traces))
+    position = 0
+    while True:
+        running = []
+        for i in live:
+            if envs[i].done or position >= caps[i]:
+                continue
+            if stop_after is not None and position >= stop_after:
+                traces[i].partial = True
+                continue
+            running.append(i)
+        live = running
+        if not live:
             break
-        features = featurize(obs, task)
-        position = len(trace.tokens)
-        logits, exp, total = _softmax(params, features)
-        dist = exp / total
-        if position < len(forced_prefix):
-            index = forced_prefix[position]
-            logprob = float(logits[index] - np.log(total))
-        else:
-            rng.seed(derive_seed("token", seed, position))
-            index, logprob = sample_action(dist, rng)
-        token = vocab[index]
-        obs, _ = env.step(decode_action(token, env))
-        trace.tokens.append(
-            TokenRecord(
-                index=index,
-                name=token.name,
-                behavior_logprob=logprob,
-                features=tuple(features.tolist()),
-                softmax=Softmax(dist, logits, total),
+        features = [featurize(observations[i], traces[i].task) for i in live]
+        logits, exp, total = _stacked_softmax(params.weights, np.array(features))
+        dist = exp / total[:, None]
+        for r, i in enumerate(live):
+            if position < len(forced_prefix):
+                index = forced_prefix[position]
+                logprob = float(logits[r, index] - np.log(total[r]))
+            else:
+                reseed(derive_seed("token", traces[i].episode_seed, position))
+                index, logprob = sample_action(dist[r], rng)
+            token = vocab[index]
+            env = envs[i]
+            observations[i], _ = env.step(decode_action(token, env))
+            traces[i].tokens.append(
+                TokenRecord(
+                    index=index,
+                    name=token.name,
+                    behavior_logprob=logprob,
+                    features=tuple(features[r].tolist()),
+                    softmax=Softmax(dist[r], logits[r], total[r]),
+                )
             )
-        )
-    if not env.done and not trace.partial:
-        env.force_terminate("token_cap")
-    trace.stages = list(env.stages)
-    trace.terminal_flag = env.terminal_flag
-    trace.final_answer = env.final_answer
-    return trace
+        position += 1
+    for env, trace in zip(envs, traces):
+        if not env.done and not trace.partial:
+            env.force_terminate("token_cap")
+        trace.stages = list(env.stages)
+        trace.terminal_flag = env.terminal_flag
+        trace.final_answer = env.final_answer
+    return traces

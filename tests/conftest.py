@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from parlab import (
     ActionToken,
@@ -18,6 +19,11 @@ from parlab import (
     gen_wide_search,
     init_params,
 )
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite is reproducible and leaves no .hypothesis/ behind.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 SMALL_LIMITS = StepLimits(orchestrator_max_steps=12, subagent_max_steps=50, max_tokens=10)
 

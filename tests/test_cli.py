@@ -188,6 +188,14 @@ class TestReplayVerb:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert f"{trace_path}, line 1" in err and names in err
 
+    def test_wrong_typed_field_exits_two(self, tmp_path, capsys):
+        trace_path = tmp_path / "traces.jsonl"
+        trace_path.write_text('{"tokens": [], "stages": [], "task": 3}\n')
+        assert main(["replay", "--trace", str(trace_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"{trace_path}, line 1" in err and "wrong type" in err
+
 
 class TestReportVerb:
     def test_record_without_metrics_exits_two(self, tmp_path, capsys):

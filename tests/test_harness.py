@@ -338,6 +338,15 @@ class TestSuspendResume:
         save_resume_token(token, path)
         assert load_resume_token(path) == token
 
+    def test_truncated_token_file_is_corrupt(self, tmp_path, wide_task):
+        partial = rollout_episode(zero_params(), wide_task, TINY_VOCAB, seed=13,
+                                  stop_after=2)
+        path = tmp_path / "resume.json"
+        save_resume_token(suspend_episode(partial), path)
+        path.write_text(path.read_text()[:30])
+        with pytest.raises(CorruptFileError, match=r"resume.json, line 1"):
+            load_resume_token(path)
+
     def test_position_out_of_range_rejected(self, wide_task):
         partial = rollout_episode(zero_params(), wide_task, TINY_VOCAB, seed=13,
                                   stop_after=2)
@@ -424,6 +433,23 @@ class TestTrainLoop:
         tasks = config.materialize_tasks(seed=0)
         (tmp_path / "budgets.json").write_text('{"budg')
         with pytest.raises(CorruptFileError, match="budgets.json"):
+            train(config, tasks, seed=0, out_dir=tmp_path)
+
+    @pytest.mark.parametrize("text", ["[]", '{"t": "3"}', '{"t": 0}', '{"t": true}'])
+    def test_budgets_file_without_int_budgets_is_corrupt(self, tmp_path, text):
+        config = small_config(rl=RLConfig(K=2, iterations=1), toggle=ToggleConfig())
+        tasks = config.materialize_tasks(seed=0)
+        (tmp_path / "budgets.json").write_text(text)
+        with pytest.raises(CorruptFileError, match="budgets.json"):
+            train(config, tasks, seed=0, out_dir=tmp_path)
+
+    @pytest.mark.parametrize("line", ["not json", "[1, 2]"])
+    def test_hand_edited_stats_line_is_corrupt(self, tmp_path, line):
+        config = self._config(2)
+        tasks = config.materialize_tasks(seed=0)
+        train(self._config(1), tasks, seed=0, out_dir=tmp_path)
+        (tmp_path / "stats.jsonl").write_text(line + "\n")
+        with pytest.raises(CorruptFileError, match=r"stats.jsonl, line 1"):
             train(config, tasks, seed=0, out_dir=tmp_path)
 
 

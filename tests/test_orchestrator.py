@@ -5,10 +5,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parlab import (
     AssignGroupAction,
     FEATURE_DIM,
+    EpisodeTrace,
     FinishAction,
     InvalidParameterError,
     NoOpAction,
@@ -19,18 +21,23 @@ from parlab import (
     action_logprobs,
     decode_action,
     default_vocabulary,
+    derive_seed,
     featurize,
+    gen_batch_download,
+    gen_deep_search,
     gen_wide_search,
     grad_logprob,
     init_params,
     partition_units,
     reset,
     rollout_episode,
+    rollout_episodes,
     sample_action,
     token_from_dict,
     vocabulary_manifest,
 )
 from parlab.harness import canonical_dumps, trace_to_record
+from parlab.orchestrator import Softmax, TokenRecord
 
 from conftest import SMALL_LIMITS, TINY_VOCAB, zero_params
 
@@ -290,6 +297,134 @@ class TestRollout:
         for seed in range(20):
             trace = rollout_episode(zero_params(), spec, TINY_VOCAB, seed=seed)
             assert len(trace.tokens) <= spec.limits.max_tokens
+
+
+def sequential_rollout(params, task, vocab, seed, max_tokens=None,
+                       forced_prefix=(), stop_after=None):
+    """Reference: one episode on its own, one ``W @ x`` policy evaluation per
+    token."""
+    cap = task.limits.max_tokens if max_tokens is None else max_tokens
+    env, obs = reset(task, seed)
+    trace = EpisodeTrace(task=task, episode_seed=seed, params_hash=params.params_hash())
+    rng = random.Random(0)
+    while not env.done and len(trace.tokens) < cap:
+        if stop_after is not None and len(trace.tokens) >= stop_after:
+            trace.partial = True
+            break
+        features = featurize(obs, task)
+        position = len(trace.tokens)
+        logits = params.weights @ features
+        logits = logits - logits.max()
+        exp = np.exp(logits)
+        total = exp.sum()
+        dist = exp / total
+        if position < len(forced_prefix):
+            index = forced_prefix[position]
+            logprob = float(logits[index] - np.log(total))
+        else:
+            rng.seed(derive_seed("token", seed, position))
+            index, logprob = sample_action(dist, rng)
+        token = vocab[index]
+        obs, _ = env.step(decode_action(token, env))
+        trace.tokens.append(TokenRecord(
+            index, token.name, logprob, tuple(features.tolist()),
+            Softmax(dist, logits, total),
+        ))
+    if not env.done and not trace.partial:
+        env.force_terminate("token_cap")
+    trace.stages = list(env.stages)
+    trace.terminal_flag = env.terminal_flag
+    trace.final_answer = env.final_answer
+    return trace
+
+
+def token_bytes(tok):
+    return (
+        tok.index,
+        tok.name,
+        float.hex(tok.behavior_logprob),
+        np.array(tok.features).tobytes(),
+        tok.softmax.probs.tobytes(),
+        tok.softmax.logits.tobytes(),
+        np.float64(tok.softmax.total).tobytes(),
+    )
+
+
+def trace_bytes(trace):
+    return (
+        [token_bytes(tok) for tok in trace.tokens],
+        trace.stages,
+        trace.terminal_flag,
+        trace.final_answer,
+        trace.partial,
+        trace.episode_seed,
+        trace.params_hash,
+    )
+
+
+FAMILIES = (gen_wide_search, gen_deep_search, gen_batch_download)
+
+jobs_strategy = st.lists(
+    st.tuples(
+        st.sampled_from(FAMILIES),
+        st.integers(0, 10_000),
+        st.tuples(st.integers(1, 4), st.integers(1, 3)),
+        st.sampled_from([SMALL_LIMITS, None]),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestLockstepRollout:
+    """Stepping episodes together changes no byte of any of them."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        jobs=jobs_strategy,
+        vocab_rows=st.lists(st.integers(0, 8), min_size=2, max_size=9, unique=True),
+        weight_seed=st.integers(0, 10_000),
+        scale=st.sampled_from([0.0, 0.5, 3.0]),
+        max_tokens=st.sampled_from([None, None, None, 1, 6]),
+    )
+    def test_lockstep_equals_sequential(self, jobs, vocab_rows, weight_seed, scale,
+                                        max_tokens):
+        full = default_vocabulary()
+        vocab = tuple(full[i] for i in sorted(vocab_rows))
+        rng = np.random.default_rng(weight_seed)
+        params = PolicyParams(scale * rng.standard_normal((len(vocab), FEATURE_DIM)))
+        specs = [
+            (family(seed, *size, limits=limits), derive_seed("episode", seed, k))
+            for k, (family, seed, size, limits) in enumerate(jobs)
+        ]
+        traces = rollout_episodes(params, vocab, specs, max_tokens=max_tokens)
+        assert len(traces) == len(specs)
+        for (task, seed), trace in zip(specs, traces):
+            reference = sequential_rollout(params, task, vocab, seed, max_tokens)
+            assert trace_bytes(trace) == trace_bytes(reference)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        job=jobs_strategy.map(lambda jobs: jobs[0]),
+        weight_seed=st.integers(0, 10_000),
+        scale=st.sampled_from([0.0, 0.5, 3.0]),
+        prefix=st.lists(st.integers(0, len(TINY_VOCAB) - 1), max_size=6),
+        stop_after=st.one_of(st.none(), st.integers(0, 8)),
+    )
+    def test_one_job_with_forced_prefix_equals_sequential(
+        self, job, weight_seed, scale, prefix, stop_after,
+    ):
+        family, seed, size, limits = job
+        task = family(seed, *size, limits=limits)
+        rng = np.random.default_rng(weight_seed)
+        params = PolicyParams(scale * rng.standard_normal((len(TINY_VOCAB), FEATURE_DIM)))
+        options = dict(forced_prefix=tuple(prefix), stop_after=stop_after)
+        trace = rollout_episode(params, task, TINY_VOCAB, seed, **options)
+        reference = sequential_rollout(params, task, TINY_VOCAB, seed, **options)
+        assert trace_bytes(trace) == trace_bytes(reference)
+        assert trace_bytes(
+            rollout_episodes(params, TINY_VOCAB, [(task, seed)], **options)[0]
+        ) == trace_bytes(reference)
 
 
 class TestVocabulary:
